@@ -136,9 +136,19 @@ struct WorkerRound {
 pub fn run_fedmp(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,
-    mut global: Sequential,
+    global: Sequential,
     opts: &FedMpOptions,
 ) -> RunHistory {
+    run_fedmp_with_model(cfg, setup, global, opts).0
+}
+
+/// [`run_fedmp`], also returning the final global model.
+pub fn run_fedmp_with_model(
+    cfg: &FlConfig,
+    setup: &FlSetup<'_>,
+    mut global: Sequential,
+    opts: &FedMpOptions,
+) -> (RunHistory, Sequential) {
     let workers = setup.workers();
     let mut history = RunHistory::new(match opts.sync {
         SyncScheme::R2SP => "FedMP",
@@ -396,7 +406,7 @@ pub fn run_fedmp(
         emit_round_end(&rec);
         history.rounds.push(rec);
     }
-    history
+    (history, global)
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ mod wire;
 pub use aggregate::{average_states, bsp_aggregate, mix_states, quorum_aggregate, r2sp_aggregate};
 pub use chaos::{backoff, backoff_scale, ChaosDraw, ChaosOptions, ChaosPlan};
 pub use engine::{CostScale, FlConfig, FlSetup, SyncScheme};
-pub use engines::fedmp::{run_fedmp, FaultOptions, FedMpOptions};
+pub use engines::fedmp::{run_fedmp, run_fedmp_with_model, FaultOptions, FedMpOptions};
 pub use engines::fedprox::{run_fedprox, FedProxOptions};
 pub use engines::flexcom::{run_flexcom, FlexComOptions};
 pub use engines::r#async::{run_async, AsyncMode, AsyncOptions};

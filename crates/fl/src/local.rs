@@ -72,7 +72,7 @@ pub fn local_train(
         model.zero_grad();
         let logits = model.forward(&x, true);
         let out = cross_entropy_loss(&logits, &labels);
-        model.backward(&out.grad_logits);
+        model.backward_params(&out.grad_logits);
         if cfg.prox_mu > 0.0 {
             add_proximal_grad(model, &anchor, cfg.prox_mu);
         }
@@ -112,6 +112,50 @@ mod tests {
         // short — the count is bounded, not exact.
         assert!(out.samples > 20 * 16 && out.samples <= 30 * 16, "samples {}", out.samples);
         assert!(out.delta_loss() > 0.0);
+    }
+
+    /// `local_train` runs the params-only backward; its outcome and
+    /// trained model must equal the same loop over the full `backward`
+    /// bit for bit.
+    #[test]
+    fn params_only_backward_leaves_training_unchanged() {
+        let (train, _) = mnist_like(0.05, 42).generate();
+        let mut rng = seeded_rng(6);
+        let part = iid_partition(&train, 2, &mut rng);
+        let model = zoo::cnn_mnist(0.25, &mut rng);
+        let cfg = LocalTrainConfig { tau: 4, ..Default::default() };
+
+        let mut fast = model.clone();
+        let got = local_train(
+            &mut fast,
+            &mut BatchIter::new(&train, part[0].clone(), 8, seeded_rng(7)),
+            &cfg,
+        );
+
+        let mut full = model;
+        let mut it = BatchIter::new(&train, part[0].clone(), 8, seeded_rng(7));
+        let mut opt = Sgd::with_momentum(cfg.lr, cfg.momentum, 0.0);
+        let mut losses = Vec::new();
+        let mut samples = 0;
+        for _ in 0..cfg.tau {
+            let (x, labels) = it.next_batch();
+            full.zero_grad();
+            let out = cross_entropy_loss(&full.forward(&x, true), &labels);
+            full.backward(&out.grad_logits);
+            clip_grad_norm(&mut full, cfg.clip);
+            opt.step(&mut full);
+            losses.push(out.loss);
+            samples += labels.len();
+        }
+        let mean = losses.iter().sum::<f32>() / cfg.tau as f32;
+        assert_eq!(got.first_loss.to_bits(), losses[0].to_bits());
+        assert_eq!(got.last_loss.to_bits(), losses[cfg.tau - 1].to_bits());
+        assert_eq!(got.mean_loss.to_bits(), mean.to_bits());
+        assert_eq!(got.samples, samples);
+        for (a, b) in fast.state().iter().zip(full.state().iter()) {
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.tensor), bits(&b.tensor), "{}", a.name);
+        }
     }
 
     #[test]

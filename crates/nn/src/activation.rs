@@ -28,16 +28,21 @@ impl ReLU {
 
     /// Backward pass: zeroes gradients where the input was non-positive.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mask = self.mask.as_ref().expect("relu backward before forward");
-        assert_eq!(mask.len(), grad_out.numel(), "relu backward: shape changed");
-        let mut g = grad_out.clone();
-        for (v, &keep) in g.data_mut().iter_mut().zip(mask.iter()) {
-            if !keep {
-                *v = 0.0;
-            }
-        }
-        g
+        relu_mask_select(grad_out, self.mask.as_ref().expect("relu backward before forward"))
     }
+}
+
+/// The ReLU gradient: `grad_out` where `mask` is set, `+0.0` elsewhere,
+/// written into a fresh tensor.
+///
+/// The select compiles to a branchless blend. It must stay a select: a
+/// multiply by a 0/1 mask would turn a masked negative gradient into
+/// `-0.0` (and a masked infinity into NaN), changing bits downstream.
+pub(crate) fn relu_mask_select(grad_out: &Tensor, mask: &[bool]) -> Tensor {
+    assert_eq!(mask.len(), grad_out.numel(), "relu backward: shape changed");
+    let data: Vec<f32> =
+        grad_out.data().iter().zip(mask).map(|(&g, &keep)| if keep { g } else { 0.0 }).collect();
+    Tensor::from_vec(data, grad_out.dims()).expect("same element count as grad_out")
 }
 
 /// Inverted dropout: during training each activation is zeroed with
@@ -112,6 +117,19 @@ mod tests {
         assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
         let g = relu.backward(&Tensor::ones(&[3]));
         assert_eq!(g.data(), &[0.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn relu_masked_negative_gradient_is_positive_zero() {
+        let mut relu = ReLU::new();
+        relu.forward(&Tensor::from_vec(vec![-1.0, 0.0, 2.0, -3.0], &[4]).unwrap(), true);
+        let g = relu
+            .backward(&Tensor::from_vec(vec![-5.0, -0.5, -7.0, f32::NEG_INFINITY], &[4]).unwrap());
+        let bits: Vec<u32> = g.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [0.0f32.to_bits(), 0.0f32.to_bits(), (-7.0f32).to_bits(), 0.0f32.to_bits()]
+        );
     }
 
     #[test]

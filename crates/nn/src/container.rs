@@ -10,7 +10,7 @@
 //!   format),
 //! * `for_each_param_mut` — optimizer access in deterministic order.
 
-use crate::activation::{Dropout, ReLU};
+use crate::activation::{relu_mask_select, Dropout, ReLU};
 use crate::batchnorm::BatchNorm2d;
 use crate::conv_layer::Conv2d;
 use crate::flatten::Flatten;
@@ -71,6 +71,17 @@ impl LayerNode {
             LayerNode::AvgPool2d(l) => l.backward(grad_out),
             LayerNode::Flatten(l) => l.backward(grad_out),
             LayerNode::Residual(l) => l.backward(grad_out),
+        }
+    }
+
+    /// [`Self::backward`] for a node whose input gradient nobody reads:
+    /// accumulates the same parameter gradients, and `Conv2d`/`Linear`
+    /// skip computing the input gradient.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        match self {
+            LayerNode::Conv2d(l) => l.backward_params(grad_out),
+            LayerNode::Linear(l) => l.backward_params(grad_out),
+            _ => drop(self.backward(grad_out)),
         }
     }
 
@@ -214,12 +225,7 @@ impl ResidualBlock {
     /// Backward pass.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mask = self.relu_mask.as_ref().expect("residual backward before forward");
-        let mut g = grad_out.clone();
-        for (v, &keep) in g.data_mut().iter_mut().zip(mask.iter()) {
-            if !keep {
-                *v = 0.0;
-            }
-        }
+        let g = relu_mask_select(grad_out, mask);
         let mut g_body = g.clone();
         for l in self.body.iter_mut().rev() {
             g_body = l.backward(&g_body);
@@ -289,11 +295,29 @@ impl Sequential {
     /// Backward pass through every layer in reverse; accumulates parameter
     /// gradients and returns the input gradient.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_through(grad_out, true).expect("input gradient requested")
+    }
+
+    /// Params-only backward pass, for training loops that drop the input
+    /// gradient: every parameter gradient is accumulated bit-identically
+    /// to [`Self::backward`], but the first layer never computes the
+    /// gradient of the model input (no parameter depends on it).
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward_through(grad_out, false);
+    }
+
+    /// The one reverse loop behind both passes; returns the input
+    /// gradient only when `input_grad` is set.
+    fn backward_through(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
         let mut g = grad_out.clone();
-        for l in self.layers.iter_mut().rev() {
+        for (i, l) in self.layers.iter_mut().enumerate().rev() {
+            if i == 0 && !input_grad {
+                l.backward_params(&g);
+                return None;
+            }
             g = l.backward(&g);
         }
-        g
+        Some(g)
     }
 
     /// Visits every trainable parameter in deterministic order.

@@ -76,12 +76,19 @@ impl Conv2d {
 
     /// Backward pass; accumulates parameter gradients, returns input grad.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        let input = self.cached_input.as_ref().expect("conv backward before forward");
+        conv2d_backward_input(grad_out, &self.weight.value, input.dims(), &self.spec)
+    }
+
+    /// Accumulates the weight and bias gradients only, skipping the
+    /// input gradient (for the first layer of a model).
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
         let input = self.cached_input.as_ref().expect("conv backward before forward");
         let (gw, gb) =
             conv2d_backward_weight(grad_out, input, self.weight.value.dims(), &self.spec);
         self.weight.grad.add_assign(&gw);
         self.bias.grad.add_assign(&gb);
-        conv2d_backward_input(grad_out, &self.weight.value, input.dims(), &self.spec)
     }
 
     /// Pruning-aware **inference** forward: computes only the

@@ -91,6 +91,14 @@ impl Linear {
     /// Backward pass; accumulates weight/bias gradients and returns the
     /// input gradient.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        // dX = grad_out @ W  → [batch, in]
+        grad_out.matmul(&self.weight.value)
+    }
+
+    /// Accumulates the weight and bias gradients only, skipping the
+    /// input gradient (for the first layer of a model).
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
         let input = self.cached_input.as_ref().expect("linear backward before forward");
         // dW = grad_outᵀ @ input  → [out, in]
         self.weight.grad.add_assign(&grad_out.matmul_tn(input));
@@ -103,8 +111,6 @@ impl Linear {
                 *g += v;
             }
         }
-        // dX = grad_out @ W  → [batch, in]
-        grad_out.matmul(&self.weight.value)
     }
 }
 

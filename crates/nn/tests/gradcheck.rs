@@ -1,7 +1,7 @@
 //! Finite-difference gradient checks across random layer configurations
 //! — the ground truth every hand-written backward pass must match.
 
-use fedmp_nn::{BatchNorm2d, Conv2d, LayerNode, Linear, LstmLm, MaxPool2d, ReLU, Sequential};
+use fedmp_nn::{zoo, BatchNorm2d, Conv2d, LayerNode, Linear, LstmLm, MaxPool2d, ReLU, Sequential};
 use fedmp_tensor::{cross_entropy_loss, seeded_rng, Tensor};
 use proptest::prelude::*;
 
@@ -248,5 +248,37 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// `backward_params` skips only the model-input gradient, so every
+/// parameter gradient must match `backward` bit for bit — over two
+/// accumulated steps, on the zoo models local training runs.
+#[test]
+fn backward_params_matches_backward_bitwise() {
+    let mut rng = seeded_rng(90);
+    for (name, model, input) in [
+        ("cnn_mnist", zoo::cnn_mnist(0.25, &mut rng), [2, 1, 28, 28]),
+        ("alexnet_cifar", zoo::alexnet_cifar(0.1, &mut rng), [2, 3, 32, 32]),
+        ("resnet_tiny", zoo::resnet_tiny(0.1, &mut rng), [2, 3, 64, 64]),
+    ] {
+        let batches: Vec<Tensor> = (0..2).map(|_| Tensor::randn(&input, &mut rng)).collect();
+        let grad_bits = |params_only: bool| {
+            let mut m = model.clone();
+            for x in &batches {
+                let out = cross_entropy_loss(&m.forward(x, true), &[0, 1]);
+                if params_only {
+                    m.backward_params(&out.grad_logits);
+                } else {
+                    m.backward(&out.grad_logits);
+                }
+            }
+            let mut bits = Vec::new();
+            m.for_each_param_mut(&mut |p| bits.extend(p.grad.data().iter().map(|v| v.to_bits())));
+            bits
+        };
+        let full = grad_bits(false);
+        assert!(full.iter().any(|&b| b != 0), "{name}: no gradient reached the parameters");
+        assert_eq!(full, grad_bits(true), "{name}: parameter gradients differ");
     }
 }

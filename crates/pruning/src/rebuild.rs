@@ -309,7 +309,7 @@ mod tests {
                 let y = sub.forward(&x, true);
                 assert!(y.all_finite(), "ratio {ratio}");
                 let out = cross_entropy_loss(&y, &[0]);
-                sub.backward(&out.grad_logits);
+                sub.backward_params(&out.grad_logits);
             }
         }
     }

@@ -86,17 +86,26 @@ pub fn im2col_into(
     }
 }
 
-/// Writes one `(ky, kx)` tap of the unfold: for every output position,
-/// copies the in-bounds source element into `out_row[oy*ow + ox]`,
-/// leaving padding taps untouched (the caller's buffer is zeroed).
+/// At stride 1, the output positions `lo..hi` of tap offset `k` are
+/// exactly those whose source position `o + k - padding` lies in
+/// `0..extent`, for outputs in `0..out` (the range may be empty).
+fn stride1_span(extent: usize, padding: usize, k: usize, out: usize) -> (usize, usize) {
+    (padding.saturating_sub(k), (extent + padding).saturating_sub(k).min(out))
+}
+
+/// Visits the in-bounds part of one `(ky, kx)` tap as runs
+/// `(pixel, col, len)`: output positions `col..col + len` of the tap's
+/// column row read the image pixels `pixel..pixel + len` of one
+/// channel. Padding taps appear in no run.
 ///
-/// At stride 1 each output row maps to a *contiguous* source segment,
-/// so the in-bounds span collapses to one `copy_from_slice` — the same
-/// elements land in the same slots as the per-element loop, so outputs
-/// are bit-identical either way.
+/// At stride 1 each output row is one contiguous run, so unfold and
+/// fold become slice copies and slice adds; at larger strides every
+/// run is a single element. Runs come in ascending output order, and
+/// within one tap no pixel appears twice, so the unfold writes, and
+/// the fold accumulates, exactly what a per-element loop would — the
+/// result is bit-identical either way.
 #[allow(clippy::too_many_arguments)]
-fn unfold_tap(
-    img_ch: &[f32],
+fn for_each_tap_run(
     h: usize,
     w: usize,
     spec: &Conv2dSpec,
@@ -104,21 +113,16 @@ fn unfold_tap(
     kx: usize,
     oh: usize,
     ow: usize,
-    out_row: &mut [f32],
+    mut run: impl FnMut(usize, usize, usize),
 ) {
     if spec.stride == 1 {
-        // ix = ox + kx - padding must lie in [0, w): solve for ox.
-        let ox_lo = spec.padding.saturating_sub(kx);
-        let ox_hi = (w + spec.padding).saturating_sub(kx).min(ow);
-        for oy in 0..oh {
-            let iy = (oy + ky) as isize - spec.padding as isize;
-            if iy < 0 || iy >= h as isize || ox_lo >= ox_hi {
-                continue;
+        let (oy_lo, oy_hi) = stride1_span(h, spec.padding, ky, oh);
+        let (ox_lo, ox_hi) = stride1_span(w, spec.padding, kx, ow);
+        if ox_lo < ox_hi {
+            for oy in oy_lo..oy_hi {
+                let pixel = (oy + ky - spec.padding) * w + ox_lo + kx - spec.padding;
+                run(pixel, oy * ow + ox_lo, ox_hi - ox_lo);
             }
-            let ix0 = ox_lo + kx - spec.padding;
-            let len = ox_hi - ox_lo;
-            let src = &img_ch[iy as usize * w + ix0..iy as usize * w + ix0 + len];
-            out_row[oy * ow + ox_lo..oy * ow + ox_hi].copy_from_slice(src);
         }
         return;
     }
@@ -133,9 +137,28 @@ fn unfold_tap(
             if ix < 0 || ix >= w as isize {
                 continue;
             }
-            out_row[oy * ow + ox] = img_ch[iy * w + ix as usize];
+            run(iy * w + ix as usize, oy * ow + ox, 1);
         }
     }
+}
+
+/// Writes one `(ky, kx)` tap of the unfold into `out_row`, leaving
+/// padding taps untouched (the caller's buffer is zeroed).
+#[allow(clippy::too_many_arguments)]
+fn unfold_tap(
+    img_ch: &[f32],
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+    ky: usize,
+    kx: usize,
+    oh: usize,
+    ow: usize,
+    out_row: &mut [f32],
+) {
+    for_each_tap_run(h, w, spec, ky, kx, oh, ow, |pixel, col, len| {
+        out_row[col..col + len].copy_from_slice(&img_ch[pixel..pixel + len]);
+    });
 }
 
 /// [`im2col_into`] over a **channel subset**: unfolds only the channels
@@ -192,6 +215,10 @@ pub fn col2im(cols: &Tensor, c: usize, h: usize, w: usize, spec: &Conv2dSpec) ->
 /// [`col2im`] accumulating into a caller-provided image buffer of
 /// `c*h*w` elements (`+=` per tap, so start from zeros for the plain
 /// adjoint).
+///
+/// Taps are folded in `ch → ky → kx` order, so every pixel sums its
+/// taps in that fixed order whether a tap row is folded as contiguous
+/// runs (stride 1) or element by element.
 pub fn col2im_into(
     data: &[f32],
     c: usize,
@@ -211,20 +238,12 @@ pub fn col2im_into(
             for kx in 0..spec.kw {
                 let row = (ch * spec.kh + ky) * spec.kw + kx;
                 let col_row = &data[row * col_cols..(row + 1) * col_cols];
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
+                for_each_tap_run(h, w, spec, ky, kx, oh, ow, |pixel, col, len| {
+                    let dst = &mut img_ch[pixel..pixel + len];
+                    for (d, &v) in dst.iter_mut().zip(&col_row[col..col + len]) {
+                        *d += v;
                     }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        img_ch[iy * w + ix as usize] += col_row[oy * ow + ox];
-                    }
-                }
+                });
             }
         }
     }
@@ -438,7 +457,11 @@ pub fn conv2d_backward_weight(
         let mut cols_t = ws.take_zeroed(ck * oh * ow);
         let mut prod = ws.take_zeroed(oc * ck);
         for i in 0..n {
-            cols.fill(0.0);
+            if i > 0 {
+                // `take_zeroed` already zeroed both for the first image.
+                cols.fill(0.0);
+                prod.fill(0.0);
+            }
             im2col_into(
                 &input.data()[i * c * h * w..(i + 1) * c * h * w],
                 c,
@@ -451,7 +474,6 @@ pub fn conv2d_backward_weight(
                                                                                  // grad @ colsᵀ, exactly as `matmul_nt` computes it: pack the
                                                                                  // columns transposed, then run the blocked NN kernel.
             pack_transpose_into(&cols, ck, oh * ow, &mut cols_t);
-            prod.fill(0.0);
             gemm_nn_into(go, &cols_t, oc, oh * ow, ck, &mut prod);
             for (g, &p) in gw.data_mut().iter_mut().zip(prod.iter()) {
                 *g += p;

@@ -2,8 +2,9 @@
 //! kernel / reference kernel equivalence.
 
 use fedmp_tensor::{
-    conv2d_forward, im2col, matmul_nt_reference, matmul_reference, matmul_tn_reference, parallel,
-    seeded_rng, softmax_rows, Conv2dSpec, Tensor,
+    col2im_into, conv2d_backward_input, conv2d_backward_weight, conv2d_forward, im2col,
+    matmul_nt_reference, matmul_reference, matmul_tn_reference, parallel, seeded_rng, softmax_rows,
+    Conv2dSpec, Tensor,
 };
 use proptest::prelude::*;
 
@@ -241,5 +242,196 @@ fn degenerate_shapes_match_reference() {
         close_or_explain(&a.matmul_nt(&bt), &matmul_nt_reference(&a, &bt), "nt").unwrap();
         let at = Tensor::randn(&[k, m], &mut rng);
         close_or_explain(&at.matmul_tn(&b), &matmul_tn_reference(&at, &b), "tn").unwrap();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Conv backward vs per-element oracles.
+//
+// Geometry draws kernel ∈ {1, 3, 5}, stride ∈ {1, 2} and padding up to
+// 2 (including padding wider than the kernel's reach), so both the
+// stride-1 segment fold and the generic strided fold run.
+// ---------------------------------------------------------------------
+
+/// A valid random conv geometry: `(spec, h, w)` with `h + 2p >= k`.
+fn conv_geometry(
+    k_idx: usize,
+    stride: usize,
+    padding: usize,
+    dh: usize,
+    dw: usize,
+) -> (Conv2dSpec, usize, usize) {
+    let kernel = [1usize, 3, 5][k_idx];
+    let min_hw = kernel.saturating_sub(2 * padding).max(1);
+    (Conv2dSpec { kh: kernel, kw: kernel, stride, padding }, min_hw + dh, min_hw + dw)
+}
+
+/// Input position of output `o` under tap `k`, if in bounds.
+fn tap_src(o: usize, k: usize, spec: &Conv2dSpec, extent: usize) -> Option<usize> {
+    (o * spec.stride + k).checked_sub(spec.padding).filter(|&i| i < extent)
+}
+
+/// Backward sums run over up to a few hundred products, so the f64
+/// oracle is compared with an error bound that scales with magnitude.
+fn close_scaled(got: &Tensor, want: &[f64], what: &str) -> Result<(), String> {
+    for (i, (&x, &y)) in got.data().iter().zip(want).enumerate() {
+        if (x as f64 - y).abs() > KERNEL_TOL as f64 * (1.0 + y.abs()) {
+            return Err(format!("{what}: element {i}: {x} vs {y}"));
+        }
+    }
+    Ok(())
+}
+
+/// The per-element fold `col2im_into` had before the stride-1 segment
+/// path: same `ch → ky → kx → oy → ox` visiting order, one `+=` per
+/// in-bounds tap.
+fn col2im_per_element(cols: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Vec<f32> {
+    let (oh, ow) = spec.out_hw(h, w);
+    let mut image = vec![0.0f32; c * h * w];
+    for ch in 0..c {
+        for ky in 0..spec.kh {
+            for kx in 0..spec.kw {
+                let row = (ch * spec.kh + ky) * spec.kw + kx;
+                for oy in 0..oh {
+                    let Some(iy) = tap_src(oy, ky, spec, h) else { continue };
+                    for ox in 0..ow {
+                        let Some(ix) = tap_src(ox, kx, spec, w) else { continue };
+                        image[(ch * h + iy) * w + ix] += cols[(row * oh + oy) * ow + ox];
+                    }
+                }
+            }
+        }
+    }
+    image
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `conv2d_backward_input` equals the scatter definition
+    /// `dX[ch, iy, ix] += dY[f, oy, ox] · W[f, ch, ky, kx]` over every
+    /// in-bounds tap.
+    #[test]
+    fn conv_backward_input_matches_reference(
+        n in 1usize..4,
+        c in 1usize..4,
+        oc in 1usize..6,
+        k_idx in 0usize..3,
+        stride in 1usize..3,
+        padding in 0usize..3,
+        dh in 0usize..8,
+        dw in 0usize..8,
+        s in 0u64..1 << 32,
+    ) {
+        let (spec, h, w) = conv_geometry(k_idx, stride, padding, dh, dw);
+        let (oh, ow) = spec.out_hw(h, w);
+        let mut rng = seeded_rng(s);
+        let weight = Tensor::randn(&[oc, c, spec.kh, spec.kw], &mut rng);
+        let grad_out = Tensor::randn(&[n, oc, oh, ow], &mut rng);
+        let got = conv2d_backward_input(&grad_out, &weight, &[n, c, h, w], &spec);
+        prop_assert_eq!(got.dims(), &[n, c, h, w]);
+
+        let mut want = vec![0.0f64; n * c * h * w];
+        for i in 0..n {
+            for f in 0..oc {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let g = grad_out.at(&[i, f, oy, ox]) as f64;
+                        for ch in 0..c {
+                            for ky in 0..spec.kh {
+                                let Some(iy) = tap_src(oy, ky, &spec, h) else { continue };
+                                for kx in 0..spec.kw {
+                                    let Some(ix) = tap_src(ox, kx, &spec, w) else { continue };
+                                    want[((i * c + ch) * h + iy) * w + ix] +=
+                                        g * weight.at(&[f, ch, ky, kx]) as f64;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if let Err(e) = close_scaled(&got, &want, "grad input") {
+            prop_assert!(false, "{}", e);
+        }
+    }
+
+    /// `conv2d_backward_weight` equals `dW[f, ch, ky, kx] = Σ dY · X`
+    /// over images and in-bounds output positions, and `db[f] = Σ dY`.
+    #[test]
+    fn conv_backward_weight_matches_reference(
+        n in 1usize..4,
+        c in 1usize..4,
+        oc in 1usize..6,
+        k_idx in 0usize..3,
+        stride in 1usize..3,
+        padding in 0usize..3,
+        dh in 0usize..8,
+        dw in 0usize..8,
+        s in 0u64..1 << 32,
+    ) {
+        let (spec, h, w) = conv_geometry(k_idx, stride, padding, dh, dw);
+        let (oh, ow) = spec.out_hw(h, w);
+        let mut rng = seeded_rng(s);
+        let input = Tensor::randn(&[n, c, h, w], &mut rng);
+        let grad_out = Tensor::randn(&[n, oc, oh, ow], &mut rng);
+        let weight_dims = [oc, c, spec.kh, spec.kw];
+        let (gw, gb) = conv2d_backward_weight(&grad_out, &input, &weight_dims, &spec);
+        prop_assert_eq!(gw.dims(), &weight_dims);
+        prop_assert_eq!(gb.dims(), &[oc]);
+
+        let mut want_w = vec![0.0f64; oc * c * spec.kh * spec.kw];
+        let mut want_b = vec![0.0f64; oc];
+        for i in 0..n {
+            for f in 0..oc {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let g = grad_out.at(&[i, f, oy, ox]) as f64;
+                        want_b[f] += g;
+                        for ch in 0..c {
+                            for ky in 0..spec.kh {
+                                let Some(iy) = tap_src(oy, ky, &spec, h) else { continue };
+                                for kx in 0..spec.kw {
+                                    let Some(ix) = tap_src(ox, kx, &spec, w) else { continue };
+                                    want_w[((f * c + ch) * spec.kh + ky) * spec.kw + kx] +=
+                                        g * input.at(&[i, ch, iy, ix]) as f64;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if let Err(e) = close_scaled(&gw, &want_w, "grad weight") {
+            prop_assert!(false, "{}", e);
+        }
+        if let Err(e) = close_scaled(&gb, &want_b, "grad bias") {
+            prop_assert!(false, "{}", e);
+        }
+    }
+
+    /// The stride-1 segment fold in `col2im_into` is bit-identical to
+    /// the per-element fold on the same columns (every pixel sums its
+    /// taps in the same order); strided geometry checks the generic
+    /// loop against the same oracle.
+    #[test]
+    fn col2im_fold_is_bitwise_per_element_fold(
+        c in 1usize..4,
+        k_idx in 0usize..3,
+        stride in 1usize..3,
+        padding in 0usize..3,
+        dh in 0usize..10,
+        dw in 0usize..10,
+        s in 0u64..1 << 32,
+    ) {
+        let (spec, h, w) = conv_geometry(k_idx, stride, padding, dh, dw);
+        let (oh, ow) = spec.out_hw(h, w);
+        let cols = tensor(&[c * spec.kh * spec.kw, oh * ow], s);
+        let mut got = vec![0.0f32; c * h * w];
+        col2im_into(cols.data(), c, h, w, &spec, &mut got);
+        let want = col2im_per_element(cols.data(), c, h, w, &spec);
+        for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "pixel {}: {} vs {}", i, x, y);
+        }
     }
 }
