@@ -92,10 +92,9 @@ pub(crate) enum DownlinkMsg {
     Dispatch {
         /// Round index.
         round: usize,
-        /// Encoded sub-model state.
+        /// Encoded sub-model state; the worker rebuilds the sub-model
+        /// from it on the global architecture it got at spawn.
         frame: Bytes,
-        /// Architecture template the worker instantiates the frame into.
-        template: Sequential,
         /// The chaos plan lost this downlink in transit: the worker
         /// must act as if the dispatch never arrived (no training, a
         /// `Lost` marker standing in for the PS's timeout).
@@ -117,11 +116,12 @@ pub(crate) struct UplinkMsg {
 
 /// The payload of an [`UplinkMsg`].
 pub(crate) enum UplinkBody {
-    /// The trained upload: wire frame (possibly corrupted in transit),
-    /// architecture template and training outcome.
-    Model { frame: Bytes, template: Sequential, outcome: LocalOutcome },
+    /// The trained upload: wire frame (possibly corrupted in transit)
+    /// and training outcome. The PS decodes the frame into the
+    /// sub-model it dispatched.
+    Model { frame: Bytes, outcome: LocalOutcome },
     /// A retransmission: the model frame only (the PS cached the
-    /// template and outcome from the first arrival).
+    /// outcome from the first arrival).
     Frame { frame: Bytes },
     /// The exchange was lost in transit (dropped downlink or uplink) —
     /// the in-process stand-in for the PS timing the worker out.
@@ -130,9 +130,9 @@ pub(crate) enum UplinkBody {
     /// seeing the connection reset); nothing more arrives from it until
     /// the PS restarts it next round.
     Crashed,
-    /// The dispatched frame passed no checksum check worker-side — a
-    /// protocol violation retransmits cannot fix (the PS encoder is
-    /// in-process and cannot produce this).
+    /// The dispatched frame failed decoding worker-side, or decoded to
+    /// a state that does not fit the architecture — a protocol
+    /// violation retransmits cannot fix.
     Undecodable,
 }
 
@@ -233,6 +233,9 @@ pub(crate) fn send_uplink(tx: &Sender<UplinkMsg>, msg: UplinkMsg) -> bool {
 pub(crate) struct WorkerProtocol<'a> {
     w: usize,
     task: &'a ImageTask,
+    /// The global model's architecture (tensors empty): every dispatch
+    /// is rebuilt on it with [`Sequential::with_state`].
+    arch: &'a Sequential,
     local: LocalTrainConfig,
     seed: u64,
     plan: crate::chaos::ChaosPlan,
@@ -264,6 +267,7 @@ impl<'a> WorkerProtocol<'a> {
     pub(crate) fn new(
         w: usize,
         task: &'a ImageTask,
+        arch: &'a Sequential,
         local: LocalTrainConfig,
         seed: u64,
         plan: crate::chaos::ChaosPlan,
@@ -273,6 +277,7 @@ impl<'a> WorkerProtocol<'a> {
         WorkerProtocol {
             w,
             task,
+            arch,
             local,
             seed,
             plan,
@@ -283,16 +288,10 @@ impl<'a> WorkerProtocol<'a> {
         }
     }
 
-    /// Handles one dispatch. `template` may be `None` only for a lost
-    /// dispatch (a dropped downlink carries no payload over a socket);
-    /// a present-but-lost payload is ignored identically either way.
-    pub(crate) fn on_dispatch(
-        &mut self,
-        round: usize,
-        frame: Bytes,
-        template: Option<Sequential>,
-        lost: bool,
-    ) -> WorkerStep {
+    /// Handles one dispatch. A lost dispatch's payload is ignored (over
+    /// a socket it carries none); a delivered frame that fails to decode
+    /// or to fit the architecture is answered `Undecodable`.
+    pub(crate) fn on_dispatch(&mut self, round: usize, frame: Bytes, lost: bool) -> WorkerStep {
         let w = self.w;
         let draw = self.plan.draw(round, w);
         if draw.crash {
@@ -302,16 +301,6 @@ impl<'a> WorkerProtocol<'a> {
             self.cached = None;
             return WorkerStep::Reply(UplinkMsg { worker: w, round, body: UplinkBody::Lost });
         }
-        let Some(template) = template else {
-            // A delivered dispatch with no template is a framing-layer
-            // protocol violation — surface it as undecodable.
-            self.cached = None;
-            return WorkerStep::Reply(UplinkMsg {
-                worker: w,
-                round,
-                body: UplinkBody::Undecodable,
-            });
-        };
         // One OS thread (or process) per worker is already the
         // parallelism level here; run the kernels beneath sequentially
         // so the band scheduler does not oversubscribe the host
@@ -320,15 +309,15 @@ impl<'a> WorkerProtocol<'a> {
         let compressed = self.compressed;
         let link = self.link;
         let task = self.task;
+        let arch = self.arch;
         let seed = self.seed;
         let feedback = &mut self.feedback;
         let trained = fedmp_tensor::parallel::with_nested_sequential(|| {
             // `decode_state_v2` accepts v1 (dense) and v2 (compressed)
             // frames alike; a compressed dispatch reconstructs exactly
             // the snapshot the PS's `codec_delivered` oracle predicts.
-            decode_state_v2(&frame, None).ok().map(|state| {
-                let mut model = template;
-                model.load_state(&state);
+            let state = decode_state_v2(&frame, None).ok()?;
+            arch.with_state(&state).ok().map(|mut model| {
                 let mut batches = worker_batches(task, w, local.batch, seed, round);
                 let outcome = local_train(&mut model, &mut batches, &local);
                 // Encode (and fold the residual into the error
@@ -339,7 +328,7 @@ impl<'a> WorkerProtocol<'a> {
                 } else {
                     encode_state(&model.state())
                 };
-                (up, model, outcome)
+                (up, outcome)
             })
         });
         let reply = match trained {
@@ -347,21 +336,16 @@ impl<'a> WorkerProtocol<'a> {
                 self.cached = None;
                 UplinkMsg { worker: w, round, body: UplinkBody::Undecodable }
             }
-            Some((clean, model, outcome)) if draw.drop_up => {
+            Some(_) if draw.drop_up => {
                 // Trained, but the upload vanishes in transit.
-                let _ = (clean, model, outcome);
                 self.cached = None;
                 UplinkMsg { worker: w, round, body: UplinkBody::Lost }
             }
-            Some((clean, model, outcome)) => {
+            Some((clean, outcome)) => {
                 let frame =
                     if draw.corrupt_sends > 0 { corrupted_copy(&clean) } else { clean.clone() };
                 self.cached = Some((clean, 1));
-                UplinkMsg {
-                    worker: w,
-                    round,
-                    body: UplinkBody::Model { frame, template: model, outcome },
-                }
+                UplinkMsg { worker: w, round, body: UplinkBody::Model { frame, outcome } }
             }
         };
         WorkerStep::Reply(reply)
@@ -396,6 +380,7 @@ fn worker_loop(
     down_rx: Receiver<DownlinkMsg>,
     uplink_tx: Sender<UplinkMsg>,
     task: &ImageTask,
+    arch: &Sequential,
     local: LocalTrainConfig,
     seed: u64,
     plan: crate::chaos::ChaosPlan,
@@ -403,12 +388,10 @@ fn worker_loop(
     compressed: bool,
 ) {
     LIVE_WORKERS.fetch_add(1, Ordering::SeqCst);
-    let mut proto = WorkerProtocol::new(w, task, local, seed, plan, link, compressed);
+    let mut proto = WorkerProtocol::new(w, task, arch, local, seed, plan, link, compressed);
     while let Ok(msg) = down_rx.recv() {
         let step = match msg {
-            DownlinkMsg::Dispatch { round, frame, template, lost } => {
-                proto.on_dispatch(round, frame, Some(template), lost)
-            }
+            DownlinkMsg::Dispatch { round, frame, lost } => proto.on_dispatch(round, frame, lost),
             DownlinkMsg::Retransmit { round } => proto.on_retransmit(round),
         };
         match step {
@@ -434,7 +417,6 @@ struct Delivery {
     /// Position in this round's online list.
     pos: usize,
     frame: Bytes,
-    template: Sequential,
     outcome: LocalOutcome,
 }
 
@@ -485,7 +467,6 @@ pub(crate) trait Fleet {
         round: usize,
         worker: usize,
         frame: Bytes,
-        template: Sequential,
         lost: bool,
     ) -> Result<(), RuntimeError>;
     /// Requests a retransmission of the worker's cached clean upload.
@@ -625,12 +606,16 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
                 (sub, encode_state(&sub_state), None)
             }
         });
+        // The dispatched sub-models stay PS-side: uploads decode into
+        // them, so only the frame crosses the carrier.
+        let mut subs: Vec<Sequential> = Vec::with_capacity(online.len());
         let mut down_info: Vec<Option<DownInfo>> = Vec::with_capacity(online.len());
         for (i, (sub, frame, info)) in prepared.into_iter().enumerate() {
             let w = online[i];
+            subs.push(sub);
             down_info.push(info);
             let lost = plan.draw(round, w).drop_down;
-            fleet.dispatch(round, w, frame, sub, lost)?;
+            fleet.dispatch(round, w, frame, lost)?;
         }
 
         // Collection barrier: drive every dispatched exchange
@@ -640,8 +625,8 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
         // happens after the barrier, in worker order.
         enum Slot {
             Waiting,
-            PendingRetry { template: Sequential, outcome: LocalOutcome },
-            Delivered { frame: Bytes, template: Sequential, outcome: LocalOutcome },
+            PendingRetry { outcome: LocalOutcome },
+            Delivered { frame: Bytes, outcome: LocalOutcome },
             Excluded(&'static str),
         }
         let mut pos = vec![usize::MAX; workers];
@@ -661,12 +646,10 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
             }
             let i = pos[w];
             let framed = match msg.body {
-                UplinkBody::Model { frame, template, outcome } => Some((frame, template, outcome)),
+                UplinkBody::Model { frame, outcome } => Some((frame, outcome)),
                 UplinkBody::Frame { frame } => {
                     match std::mem::replace(&mut slots[i], Slot::Waiting) {
-                        Slot::PendingRetry { template, outcome } => {
-                            Some((frame, template, outcome))
-                        }
+                        Slot::PendingRetry { outcome } => Some((frame, outcome)),
                         // A retransmission with nothing pending
                         // is a protocol violation.
                         _ => return Err(RuntimeError::CorruptFrame { worker: w, round }),
@@ -687,15 +670,15 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
                     return Err(RuntimeError::CorruptFrame { worker: w, round })
                 }
             };
-            if let Some((frame, template, outcome)) = framed {
+            if let Some((frame, outcome)) = framed {
                 if frame_checksum_ok(&frame) {
-                    slots[i] = Slot::Delivered { frame, template, outcome };
+                    slots[i] = Slot::Delivered { frame, outcome };
                     outstanding -= 1;
                 } else if retries[i] < chaos.max_retransmits {
                     // Bounded retransmit: ask the worker to
                     // resend its cached clean frame.
                     retries[i] += 1;
-                    slots[i] = Slot::PendingRetry { template, outcome };
+                    slots[i] = Slot::PendingRetry { outcome };
                     fleet.retransmit(round, w)?;
                 } else {
                     slots[i] = Slot::Excluded("corrupt");
@@ -709,8 +692,8 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
         let mut transport_excluded: Vec<(usize, &'static str)> = Vec::new();
         for (i, slot) in slots.into_iter().enumerate() {
             match slot {
-                Slot::Delivered { frame, template, outcome } => {
-                    deliveries.push(Delivery { pos: i, frame, template, outcome });
+                Slot::Delivered { frame, outcome } => {
+                    deliveries.push(Delivery { pos: i, frame, outcome });
                 }
                 Slot::Excluded(reason) => transport_excluded.push((i, reason)),
                 // The barrier drives every slot terminal.
@@ -728,7 +711,7 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
         let mut mean_comm = 0.0;
         for d in &deliveries {
             let w = online[d.pos];
-            let mut cost = model_round_cost(&d.template, setup.task.input_chw, &cfg.local);
+            let mut cost = model_round_cost(&subs[d.pos], setup.task.input_chw, &cfg.local);
             // Compressed links pay their actual encoded frame
             // sizes in Eq. 5 (same override as the loop engine).
             if let Some(info) = &down_info[d.pos] {
@@ -743,13 +726,14 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
                     info.dense_bytes,
                     info.wire_bytes,
                 );
-                let up_dense = wire_size_v2(&d.template.state(), Codec::DenseF32) as u64;
+                // The trained upload has the dispatched shapes, so the
+                // same dense size.
                 emit_compression_applied(
                     round,
                     w,
                     "up",
                     pair.uplink,
-                    up_dense,
+                    info.dense_bytes,
                     d.frame.len() as u64,
                 );
             }
@@ -855,16 +839,14 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
                 // the worker trained from (its decoded downlink,
                 // which `codec_delivered` predicted exactly).
                 let reference = down_info[d.pos].as_ref().map(|i| i.received.as_slice());
-                decode_state_v2(&d.frame, reference).map(|state| {
-                    let mut model = d.template.clone();
-                    model.load_state(&state);
-                    recover_state(&model, &plans[d.pos], &global)
-                })
+                let state = decode_state_v2(&d.frame, reference).ok()?;
+                let model = trained_submodel(&subs[d.pos], &state)?;
+                Some(recover_state(&model, &plans[d.pos], &global))
             });
         let mut recovered = Vec::with_capacity(kept.len());
         for (k, dec) in kept.iter().zip(decoded) {
             let w = online[deliveries[*k].pos];
-            recovered.push(dec.map_err(|_| RuntimeError::CorruptFrame { worker: w, round })?);
+            recovered.push(dec.ok_or(RuntimeError::CorruptFrame { worker: w, round })?);
         }
         let kept_residuals: Vec<_> =
             kept.iter().map(|&k| residuals[deliveries[k].pos].clone()).collect();
@@ -929,6 +911,19 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
     Ok(history)
 }
 
+/// The trained sub-model an upload carries: `sub`'s layers holding the
+/// decoded `state`. `None` when the state does not have exactly `sub`'s
+/// entry names and shapes — a frame that passed its checksum yet does
+/// not fit what was dispatched.
+fn trained_submodel(sub: &Sequential, state: &[StateEntry]) -> Option<Sequential> {
+    let model = sub.with_state(state).ok()?;
+    // `with_state` matched names and entry count; R2SP recovery also
+    // needs the dispatched shapes.
+    let same_shapes =
+        sub.state().iter().zip(state).all(|(a, b)| a.tensor.dims() == b.tensor.dims());
+    same_shapes.then_some(model)
+}
+
 /// The in-process [`Fleet`]: crossbeam channels to scoped worker
 /// threads, exactly the transport the runtime has always used. Respawn
 /// means a fresh thread with a fresh channel pair.
@@ -938,6 +933,7 @@ struct ChannelFleet<'a, 'scope, 'env> {
     uplink_tx: &'a Sender<UplinkMsg>,
     uplink_rx: &'a Receiver<UplinkMsg>,
     task: &'env ImageTask,
+    arch: &'env Sequential,
     local: LocalTrainConfig,
     seed: u64,
     plan: crate::chaos::ChaosPlan,
@@ -950,13 +946,14 @@ impl Fleet for ChannelFleet<'_, '_, '_> {
         let (down_tx, down_rx) = bounded::<DownlinkMsg>(2);
         let utx = self.uplink_tx.clone();
         let task = self.task;
+        let arch = self.arch;
         let local = self.local;
         let seed = self.seed;
         let plan = self.plan;
         let link = self.links[worker];
         let compressed = self.compressed;
         self.scope.spawn(move || {
-            worker_loop(worker, down_rx, utx, task, local, seed, plan, link, compressed)
+            worker_loop(worker, down_rx, utx, task, arch, local, seed, plan, link, compressed)
         });
         self.downlinks[worker] = down_tx;
         Ok(())
@@ -967,11 +964,10 @@ impl Fleet for ChannelFleet<'_, '_, '_> {
         round: usize,
         worker: usize,
         frame: Bytes,
-        template: Sequential,
         lost: bool,
     ) -> Result<(), RuntimeError> {
         self.downlinks[worker]
-            .send(DownlinkMsg::Dispatch { round, frame, template, lost })
+            .send(DownlinkMsg::Dispatch { round, frame, lost })
             .map_err(|_| RuntimeError::WorkerLost { worker })
     }
 
@@ -1015,6 +1011,8 @@ pub fn run_fedmp_threaded_chaos(
     let compressed = !compression.is_dense();
     let links: Vec<LinkCodecs> =
         (0..workers).map(|w| compression.select(&setup.devices[w])).collect();
+    let arch = global.architecture();
+    let arch = &arch;
 
     std::thread::scope(|scope| {
         let (uplink_tx, uplink_rx) = bounded::<UplinkMsg>(workers.max(1));
@@ -1026,7 +1024,7 @@ pub fn run_fedmp_threaded_chaos(
             let local = cfg.local;
             let seed = cfg.seed;
             scope.spawn(move || {
-                worker_loop(w, down_rx, utx, task, local, seed, plan, link, compressed)
+                worker_loop(w, down_rx, utx, task, arch, local, seed, plan, link, compressed)
             });
             downlinks.push(down_tx);
         }
@@ -1042,6 +1040,7 @@ pub fn run_fedmp_threaded_chaos(
                 uplink_tx: &uplink_tx,
                 uplink_rx: &uplink_rx,
                 task: setup.task,
+                arch,
                 local: cfg.local,
                 seed: cfg.seed,
                 plan,

@@ -88,7 +88,8 @@ pub(crate) mod kind {
     /// Worker → PS: first frame on a fresh connection, identifying the
     /// worker index.
     pub const HELLO: u32 = 1;
-    /// PS → worker: run configuration + the opaque task blob.
+    /// PS → worker: run configuration, the global architecture with
+    /// its tensors emptied, and the opaque task blob.
     pub const SETUP: u32 = 2;
     /// PS → worker: one round's sub-model dispatch (or a payload-free
     /// marker when the chaos plan lost the downlink).
@@ -294,15 +295,20 @@ struct SetupCtl {
     link: LinkCodecs,
     compressed: bool,
     delay_ms_per_vsec: u64,
+    /// The global model's layer kinds and geometry with every tensor
+    /// emptied ([`Sequential::architecture`]). Sent once per
+    /// connection; each dispatch's binary frame supplies the weights
+    /// and shapes.
+    arch: Sequential,
 }
 
+/// One round's dispatch. The sub-model itself is the frame's binary
+/// section — weights never travel as JSON — and is absent exactly when
+/// `lost` (a dropped downlink carries no payload).
 #[derive(Serialize, Deserialize)]
 struct DispatchCtl {
     round: usize,
     lost: bool,
-    /// Architecture template for the dispatched frame; absent exactly
-    /// when `lost` (a dropped downlink carries no payload).
-    template: Option<Sequential>,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -436,6 +442,7 @@ where
     let mut proto = WorkerProtocol::new(
         worker,
         &task,
+        &setup.arch,
         setup.local,
         setup.seed,
         plan,
@@ -460,7 +467,7 @@ where
                         std::thread::sleep(Duration::from_millis(ms));
                     }
                 }
-                proto.on_dispatch(ctl.round, Bytes::from(bin), ctl.template, ctl.lost)
+                proto.on_dispatch(ctl.round, Bytes::from(bin), ctl.lost)
             }
             kind::RETRANSMIT => {
                 let ctl: RoundCtl = from_json(&json)?;
@@ -486,10 +493,9 @@ where
     }
 }
 
-/// Serialises one [`UplinkMsg`] as a frame. The trained template is
-/// *not* shipped: the PS caches the architecture it dispatched and the
-/// decoded state overwrites every weight, so only the wire frame and
-/// the outcome cross the socket.
+/// Serialises one [`UplinkMsg`] as a frame: the wire frame and the
+/// outcome, all the PS needs to decode the upload into the sub-model
+/// it dispatched.
 fn write_uplink<W: Write>(w: &mut W, msg: &UplinkMsg) -> Result<(), TransportError> {
     let ctl =
         |outcome: Option<LocalOutcome>| UplinkCtl { worker: msg.worker, round: msg.round, outcome };
@@ -710,17 +716,14 @@ struct SocketFleet<'a, S: NodeSpawner> {
     plan: crate::chaos::ChaosPlan,
     links: &'a [LinkCodecs],
     compressed: bool,
+    /// The global architecture every Setup carries.
+    arch: Sequential,
     streams: Vec<Option<UnixStream>>,
     readers: Vec<Option<std::thread::JoinHandle<()>>>,
     nodes: Vec<Option<S::Handle>>,
     /// Connection generation per worker; bumped on every respawn so
     /// stale reader messages are recognisable.
     gens: Vec<u32>,
-    /// The architecture dispatched to each worker this round — the
-    /// template its upload is decoded into (weights are fully
-    /// overwritten by the decoded state, so the clean pre-training
-    /// copy is equivalent to the trained one the channel fleet moves).
-    templates: Vec<Option<Sequential>>,
     tx: Sender<ReaderMsg>,
     rx: Receiver<ReaderMsg>,
 }
@@ -737,6 +740,7 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
         plan: crate::chaos::ChaosPlan,
         links: &'a [LinkCodecs],
         compressed: bool,
+        arch: Sequential,
     ) -> Self {
         let workers = links.len();
         // Readers block on a full channel until the PS drains it in the
@@ -752,11 +756,11 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
             plan,
             links,
             compressed,
+            arch,
             streams: (0..workers).map(|_| None).collect(),
             readers: (0..workers).map(|_| None).collect(),
             nodes: (0..workers).map(|_| None).collect(),
             gens: vec![0; workers],
-            templates: (0..workers).map(|_| None).collect(),
             tx,
             rx,
         }
@@ -775,11 +779,11 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
             link: self.links[worker],
             compressed: self.compressed,
             delay_ms_per_vsec: self.opts.delay_ms_per_vsec,
+            arch: self.arch.clone(),
         };
         let json = to_json(&ctl)?;
-        let blob = self.opts.task_blob.clone();
         match self.streams[worker].as_mut() {
-            Some(s) => write_frame(s, kind::SETUP, &json, &blob),
+            Some(s) => write_frame(s, kind::SETUP, &json, &self.opts.task_blob),
             None => Err(TransportError::Io(std::io::ErrorKind::NotConnected)),
         }
     }
@@ -937,19 +941,13 @@ impl<S: NodeSpawner> Fleet for SocketFleet<'_, S> {
         round: usize,
         worker: usize,
         frame: Bytes,
-        template: Sequential,
         lost: bool,
     ) -> Result<(), RuntimeError> {
-        let ctl = DispatchCtl {
-            round,
-            lost,
-            // A lost downlink is a payload-free marker: the bytes never
-            // cross the wire, only the fact of the loss does, keeping
-            // the protocol lock-step without wall-clock timeouts.
-            template: if lost { None } else { Some(template.clone()) },
-        };
-        self.templates[worker] = Some(template);
-        let json = to_json(&ctl).map_err(|_| self.fault(worker, TransportFault::Send))?;
+        let json = to_json(&DispatchCtl { round, lost })
+            .map_err(|_| self.fault(worker, TransportFault::Send))?;
+        // A lost downlink is a payload-free marker: the bytes never
+        // cross the wire, only the fact of the loss does, keeping the
+        // protocol lock-step without wall-clock timeouts.
         let bin: &[u8] = if lost { &[] } else { &frame };
         match self.streams[worker].as_mut() {
             Some(s) => write_frame(s, kind::DISPATCH, &json, bin)
@@ -982,10 +980,7 @@ impl<S: NodeSpawner> Fleet for SocketFleet<'_, S> {
                         kind::UP_MODEL => {
                             let outcome =
                                 ctl.outcome.ok_or(self.fault(worker, TransportFault::Recv))?;
-                            let template = self.templates[worker]
-                                .clone()
-                                .ok_or(self.fault(worker, TransportFault::Recv))?;
-                            UplinkBody::Model { frame: Bytes::from(bin), template, outcome }
+                            UplinkBody::Model { frame: Bytes::from(bin), outcome }
                         }
                         kind::UP_FRAME => UplinkBody::Frame { frame: Bytes::from(bin) },
                         kind::UP_LOST => UplinkBody::Lost,
@@ -1077,7 +1072,16 @@ pub fn run_fedmp_sockets<S: NodeSpawner>(
         let links: Vec<LinkCodecs> =
             (0..workers).map(|w| compression.select(&setup.devices[w])).collect();
         let mut fleet = SocketFleet::new(
-            &listener, sock, spawner, cfg.seed, cfg.local, *chaos, plan, &links, compressed,
+            &listener,
+            sock,
+            spawner,
+            cfg.seed,
+            cfg.local,
+            *chaos,
+            plan,
+            &links,
+            compressed,
+            global.architecture(),
         );
         let run = fleet
             .bring_up()
@@ -1208,6 +1212,160 @@ mod tests {
     #[test]
     fn unique_socket_paths_are_unique() {
         assert_ne!(unique_socket_path("a"), unique_socket_path("a"));
+    }
+
+    fn json_len(frame: &[u8]) -> usize {
+        u32::from_le_bytes([frame[8], frame[9], frame[10], frame[11]]) as usize
+    }
+
+    fn setup_ctl(arch: Sequential) -> SetupCtl {
+        SetupCtl {
+            seed: 1,
+            local: LocalTrainConfig::default(),
+            chaos: ChaosOptions::none(),
+            link: LinkCodecs::dense(),
+            compressed: false,
+            delay_ms_per_vsec: 0,
+            arch,
+        }
+    }
+
+    fn tiny_task(workers: usize, seed: u64) -> ImageTask {
+        let (train, test) = fedmp_data::mnist_like(0.05, seed).generate();
+        let part = fedmp_data::iid_partition(&train, workers, &mut fedmp_tensor::seeded_rng(seed));
+        ImageTask::new(train, test, part)
+    }
+
+    #[test]
+    fn control_json_carries_no_weights() {
+        // Weights cross the socket only in the binary section, so the
+        // control JSON cannot grow with the model.
+        let json_lens = |width: f32| {
+            let model = fedmp_nn::zoo::cnn_mnist(width, &mut fedmp_tensor::seeded_rng(5));
+            let setup = to_json(&setup_ctl(model.architecture())).expect("setup json");
+            let setup = encode_frame(kind::SETUP, &setup, &[]);
+            let dispatch = to_json(&DispatchCtl { round: 7, lost: false }).expect("dispatch json");
+            let frame = crate::wire::encode_state(&model.state());
+            let dispatch = encode_frame(kind::DISPATCH, &dispatch, &frame);
+            (json_len(&setup), json_len(&dispatch))
+        };
+        let (setup_small, dispatch_small) = json_lens(0.12);
+        let (setup_full, dispatch_full) = json_lens(1.0);
+        assert_eq!(setup_small, setup_full, "Setup JSON grows with the model");
+        assert_eq!(dispatch_small, dispatch_full, "Dispatch JSON grows with the model");
+        assert!(dispatch_full < 1024, "Dispatch JSON is {dispatch_full} B");
+    }
+
+    #[test]
+    fn worker_answers_a_misfit_dispatch_undecodable() {
+        let task = tiny_task(1, 11);
+        let model = fedmp_nn::zoo::cnn_mnist(0.12, &mut fedmp_tensor::seeded_rng(12));
+        let path = unique_socket_path("misfit-down");
+        let listener = UnixListener::bind(&path).expect("bind");
+        let node = {
+            let path = path.clone();
+            std::thread::spawn(move || {
+                serve_worker(&path, 0, 20, Duration::from_millis(2), move |_| Some(task))
+            })
+        };
+        let (mut ps, _) = listener.accept().expect("accept");
+        let (k, _, _) = read_frame(&mut ps).expect("hello").expect("hello frame");
+        assert_eq!(k, kind::HELLO);
+        let setup = to_json(&setup_ctl(model.architecture())).expect("setup json");
+        write_frame(&mut ps, kind::SETUP, &setup, &[]).expect("send setup");
+        // Each frame passes its checksum but does not fit the
+        // architecture: an entry short, a flattened conv weight, a
+        // bias one element long. The last one fits.
+        let misfits: [fn(&mut Vec<fedmp_nn::StateEntry>); 4] = [
+            |s| drop(s.pop()),
+            |s| s[0].tensor = fedmp_tensor::Tensor::zeros(&[s[0].tensor.numel()]),
+            |s| s[1].tensor = fedmp_tensor::Tensor::zeros(&[1]),
+            |_| {},
+        ];
+        for (round, misfit) in misfits.iter().enumerate() {
+            let mut state = model.state();
+            misfit(&mut state);
+            let ctl = to_json(&DispatchCtl { round, lost: false }).expect("dispatch json");
+            let frame = crate::wire::encode_state(&state);
+            write_frame(&mut ps, kind::DISPATCH, &ctl, &frame).expect("send dispatch");
+            let (k, _, _) = read_frame(&mut ps).expect("reply").expect("reply frame");
+            let expected = if round < 3 { kind::UP_UNDECODABLE } else { kind::UP_MODEL };
+            assert_eq!(k, expected, "round {round}");
+        }
+        write_frame(&mut ps, kind::SHUTDOWN, b"{}", &[]).expect("send shutdown");
+        assert_eq!(node.join().expect("node thread"), Ok(Served::Shutdown));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Nodes that answer every dispatch with a checksummed upload that
+    /// does not fit what was dispatched: the output layer one neuron
+    /// wider, so names, ranks and bias lengths still agree.
+    struct MisfitNodes {
+        socket: PathBuf,
+    }
+
+    impl NodeSpawner for MisfitNodes {
+        type Handle = ThreadHandle;
+
+        fn spawn(&mut self, worker: usize, _: u32) -> Result<ThreadHandle, TransportError> {
+            let socket = self.socket.clone();
+            let join = std::thread::spawn(move || {
+                let _ = misfit_node(&socket, worker);
+            });
+            Ok(ThreadHandle { join: Some(join) })
+        }
+    }
+
+    fn misfit_node(socket: &Path, worker: usize) -> Result<(), TransportError> {
+        let mut s = connect_with_retry(socket, 20, Duration::from_millis(2))?;
+        write_frame(&mut s, kind::HELLO, &to_json(&HelloCtl { worker })?, &[])?;
+        while let Some((k, json, bin)) = read_frame(&mut s)? {
+            match k {
+                kind::SHUTDOWN => break,
+                kind::DISPATCH => {}
+                _ => continue,
+            }
+            let ctl: DispatchCtl = from_json(&json)?;
+            let mut state =
+                crate::wire::decode_state(&bin).map_err(|_| TransportError::Malformed)?;
+            let n = state.len();
+            let (rows, cols) = (state[n - 2].tensor.dims()[0] + 1, state[n - 2].tensor.dims()[1]);
+            state[n - 2].tensor = fedmp_tensor::Tensor::zeros(&[rows, cols]);
+            state[n - 1].tensor = fedmp_tensor::Tensor::zeros(&[rows]);
+            let outcome =
+                LocalOutcome { first_loss: 1.0, last_loss: 1.0, mean_loss: 1.0, samples: 1 };
+            let up = UplinkCtl { worker, round: ctl.round, outcome: Some(outcome) };
+            write_frame(
+                &mut s,
+                kind::UP_MODEL,
+                &to_json(&up)?,
+                &crate::wire::encode_state(&state),
+            )?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn ps_rejects_a_misfit_upload_as_corrupt() {
+        use fedmp_edgesim::{tx2_profile, ComputeMode, LinkQuality, TimeModel};
+        let task = tiny_task(1, 13);
+        let devices = vec![tx2_profile(ComputeMode::Mode0, LinkQuality::Near)];
+        let setup = FlSetup::new(&task, devices, TimeModel::default());
+        let global = fedmp_nn::zoo::cnn_mnist(0.12, &mut fedmp_tensor::seeded_rng(14));
+        let cfg = FlConfig { rounds: 2, ..Default::default() };
+        let sock = SocketRunOptions::new(unique_socket_path("misfit-up"), Vec::new());
+        let mut nodes = MisfitNodes { socket: sock.socket.clone() };
+        let run = run_fedmp_sockets(
+            &cfg,
+            &setup,
+            global,
+            &FedMpOptions::default(),
+            &ChaosOptions::none(),
+            &sock,
+            &mut nodes,
+        );
+        assert_eq!(run.err(), Some(RuntimeError::CorruptFrame { worker: 0, round: 0 }));
+        assert!(!sock.socket.exists());
     }
 
     /// `0usize..256` cast down, so every byte value (255 included) is

@@ -181,7 +181,164 @@ impl LayerNode {
         }
         i
     }
+
+    /// This node's kind and geometry with its tensors taken from
+    /// `entries`, in the order [`Self::collect_state`] emits them; see
+    /// [`Sequential::with_state`].
+    fn with_state(
+        &self,
+        prefix: &str,
+        entries: &mut std::slice::Iter<'_, StateEntry>,
+    ) -> Result<LayerNode, StateError> {
+        let mut take = |field: &str, rank: usize| -> Result<Tensor, StateError> {
+            let name = format!("{prefix}.{field}");
+            let e = entries.next().ok_or_else(|| StateError::Missing { expected: name.clone() })?;
+            if e.name != name {
+                return Err(StateError::Misnamed { expected: name, found: e.name.clone() });
+            }
+            let found = e.tensor.dims().len();
+            if found != rank {
+                return Err(StateError::Rank { name, expected: rank, found });
+            }
+            Ok(e.tensor.clone())
+        };
+        // `axis` is always below the rank `take` already checked.
+        let extent = |t: &Tensor, field: &str, axis: usize, expected: usize| {
+            let found = t.dims()[axis];
+            if found == expected {
+                return Ok(());
+            }
+            Err(StateError::Extent { name: format!("{prefix}.{field}"), expected, found })
+        };
+        Ok(match self {
+            LayerNode::Conv2d(l) => {
+                let (weight, bias) = (take("weight", 4)?, take("bias", 1)?);
+                extent(&weight, "weight", 2, l.spec.kh)?;
+                extent(&weight, "weight", 3, l.spec.kw)?;
+                extent(&bias, "bias", 0, weight.dims()[0])?;
+                LayerNode::Conv2d(Conv2d::from_parts(weight, bias, l.spec))
+            }
+            LayerNode::Linear(_) => {
+                let (weight, bias) = (take("weight", 2)?, take("bias", 1)?);
+                extent(&bias, "bias", 0, weight.dims()[0])?;
+                LayerNode::Linear(Linear::from_parts(weight, bias))
+            }
+            LayerNode::BatchNorm2d(l) => {
+                let gamma = take("gamma", 1)?;
+                let c = gamma.numel();
+                let beta = take("beta", 1)?;
+                extent(&beta, "beta", 0, c)?;
+                let mean = take("running_mean", 1)?;
+                extent(&mean, "running_mean", 0, c)?;
+                let var = take("running_var", 1)?;
+                extent(&var, "running_var", 0, c)?;
+                let mut bn = BatchNorm2d::from_parts(gamma, beta, mean, var);
+                bn.momentum = l.momentum;
+                bn.eps = l.eps;
+                LayerNode::BatchNorm2d(bn)
+            }
+            LayerNode::Residual(l) => LayerNode::Residual(l.with_state(prefix, entries)?),
+            LayerNode::ReLU(_)
+            | LayerNode::Dropout(_)
+            | LayerNode::MaxPool2d(_)
+            | LayerNode::AvgPool2d(_)
+            | LayerNode::Flatten(_) => self.clone(),
+        })
+    }
+
+    /// Replaces every tensor of this node with an empty one.
+    fn clear_tensors(&mut self) {
+        let empty = || Tensor::zeros(&[0]);
+        match self {
+            LayerNode::Conv2d(l) => {
+                l.weight = Param::new(empty());
+                l.bias = Param::new(empty());
+            }
+            LayerNode::Linear(l) => {
+                l.weight = Param::new(empty());
+                l.bias = Param::new(empty());
+            }
+            LayerNode::BatchNorm2d(l) => {
+                l.gamma = Param::new(empty());
+                l.beta = Param::new(empty());
+                l.running_mean = empty();
+                l.running_var = empty();
+            }
+            LayerNode::Residual(l) => {
+                l.body.iter_mut().chain(l.shortcut.iter_mut()).for_each(LayerNode::clear_tensors)
+            }
+            LayerNode::ReLU(_)
+            | LayerNode::Dropout(_)
+            | LayerNode::MaxPool2d(_)
+            | LayerNode::AvgPool2d(_)
+            | LayerNode::Flatten(_) => {}
+        }
+    }
 }
+
+/// Why a snapshot does not fit a model architecture
+/// ([`Sequential::with_state`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StateError {
+    /// The snapshot ended before this entry.
+    Missing {
+        /// Name of the entry the architecture needed next.
+        expected: String,
+    },
+    /// An entry arrived under another name than the architecture's next.
+    Misnamed {
+        /// Name the architecture needed.
+        expected: String,
+        /// Name the snapshot carried.
+        found: String,
+    },
+    /// A tensor's rank is not its layer's (conv weight 4, linear weight
+    /// 2, every bias and batch-norm vector 1).
+    Rank {
+        /// Entry name.
+        name: String,
+        /// Rank the layer needs.
+        expected: usize,
+        /// Rank the snapshot carried.
+        found: usize,
+    },
+    /// A tensor's extent along one axis disagrees with its layer: a
+    /// bias or batch-norm vector whose length is not the layer's channel
+    /// count, or a conv kernel that is not the layer's `kh × kw`.
+    Extent {
+        /// Entry name.
+        name: String,
+        /// Extent the layer needs.
+        expected: usize,
+        /// Extent the snapshot carried.
+        found: usize,
+    },
+    /// Entries remained after the last layer.
+    Leftover {
+        /// How many.
+        count: usize,
+    },
+}
+
+impl std::fmt::Display for StateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StateError::Missing { expected } => write!(f, "snapshot ends before {expected}"),
+            StateError::Misnamed { expected, found } => {
+                write!(f, "expected {expected}, found {found}")
+            }
+            StateError::Rank { name, expected, found } => {
+                write!(f, "{name}: rank {found}, layer needs {expected}")
+            }
+            StateError::Extent { name, expected, found } => {
+                write!(f, "{name}: extent {found}, layer needs {expected}")
+            }
+            StateError::Leftover { count } => write!(f, "{count} entries past the last layer"),
+        }
+    }
+}
+
+impl std::error::Error for StateError {}
 
 /// A residual block: `out = relu(body(x) + shortcut(x))`, where the
 /// shortcut is identity or a 1×1 conv (+BN) projection when dimensions
@@ -267,6 +424,24 @@ impl ResidualBlock {
             consumed += l.load_state(&format!("{prefix}.shortcut.{i}"), &entries[consumed..]);
         }
         consumed
+    }
+
+    /// This block's layout with its tensors taken from `entries`, in
+    /// emission order.
+    fn with_state(
+        &self,
+        prefix: &str,
+        entries: &mut std::slice::Iter<'_, StateEntry>,
+    ) -> Result<ResidualBlock, StateError> {
+        let mut path = |nodes: &[LayerNode], part: &str| {
+            nodes
+                .iter()
+                .enumerate()
+                .map(|(i, l)| l.with_state(&format!("{prefix}.{part}.{i}"), entries))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        let body = path(&self.body, "body")?;
+        Ok(ResidualBlock::new(body, path(&self.shortcut, "shortcut")?))
     }
 }
 
@@ -357,6 +532,37 @@ impl Sequential {
             "load_state: {} leftover entries",
             entries.len() - consumed
         );
+    }
+
+    /// A model with this one's layer kinds and geometry (conv spec,
+    /// pooling, dropout, batch-norm momentum and epsilon) whose tensors
+    /// come from `entries`, a snapshot in [`Self::state`] order. Shapes
+    /// are the snapshot's, so a pruned sub-model can be rebuilt on its
+    /// global model's architecture; every gradient starts at zero.
+    /// `self`'s own tensors are never read (see [`Self::architecture`]).
+    ///
+    /// Unlike [`Self::load_state`] this never panics: a snapshot that
+    /// does not fit the architecture returns a [`StateError`].
+    pub fn with_state(&self, entries: &[StateEntry]) -> Result<Sequential, StateError> {
+        let mut it = entries.iter();
+        let layers = self
+            .layers
+            .iter()
+            .enumerate()
+            .map(|(i, l)| l.with_state(&i.to_string(), &mut it))
+            .collect::<Result<Vec<_>, _>>()?;
+        match it.len() {
+            0 => Ok(Sequential::new(layers)),
+            count => Err(StateError::Leftover { count }),
+        }
+    }
+
+    /// This model with every tensor emptied: layer kinds and geometry
+    /// only, all that [`Self::with_state`] reads.
+    pub fn architecture(&self) -> Sequential {
+        let mut arch = self.clone();
+        arch.layers.iter_mut().for_each(LayerNode::clear_tensors);
+        arch
     }
 
     /// Total trainable parameter count.
@@ -495,5 +701,118 @@ mod tests {
         m.backward(&Tensor::ones(y.dims()));
         m.zero_grad();
         m.for_each_param_mut(&mut |p| assert_eq!(p.grad.l1_norm(), 0.0));
+    }
+
+    /// One node of every kind, `c` channels wide, for `[n, 1, 8, 8]`
+    /// inputs; batch norm with non-default momentum and epsilon.
+    fn every_kind(c: usize, rng: &mut rand::rngs::StdRng) -> Sequential {
+        let bn = |ch: usize| {
+            let mut bn = BatchNorm2d::new(ch);
+            bn.momentum = 0.3;
+            bn.eps = 1e-3;
+            LayerNode::BatchNorm2d(bn)
+        };
+        let block = ResidualBlock::new(
+            vec![LayerNode::Conv2d(Conv2d::new(c, 2 * c, 3, 2, 1, rng)), bn(2 * c)],
+            vec![LayerNode::Conv2d(Conv2d::new(c, 2 * c, 1, 2, 0, rng)), bn(2 * c)],
+        );
+        Sequential::new(vec![
+            LayerNode::Conv2d(Conv2d::new(1, c, 3, 1, 1, rng)),
+            bn(c),
+            LayerNode::ReLU(ReLU::new()),
+            LayerNode::Residual(block), // 8 → 4
+            LayerNode::MaxPool2d(MaxPool2d::new(2)),
+            LayerNode::AvgPool2d(AvgPool2d::new(2)),
+            LayerNode::Dropout(Dropout::new(0.25, 7)),
+            LayerNode::Flatten(Flatten::new()),
+            LayerNode::Linear(Linear::new(2 * c, 3, rng)),
+        ])
+    }
+
+    fn assert_same_bits(a: &[StateEntry], b: &[StateEntry]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(
+                (&x.name, x.trainable, x.tensor.dims()),
+                (&y.name, y.trainable, y.tensor.dims())
+            );
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&x.tensor), bits(&y.tensor), "{}", x.name);
+        }
+    }
+
+    #[test]
+    fn with_state_round_trips_every_layer_kind() {
+        let mut rng = seeded_rng(87);
+        let mut m = every_kind(3, &mut rng);
+        let x = Tensor::randn(&[2, 1, 8, 8], &mut rng);
+        // A training pass moves the running statistics off their
+        // defaults, so the tracked entries are exercised too.
+        m.forward(&x, true);
+        let state = m.state();
+        let arch = m.architecture();
+        assert!(arch.state().iter().all(|e| e.tensor.numel() == 0));
+        let mut rebuilt = arch.with_state(&state).expect("own state fits");
+        assert_same_bits(&rebuilt.state(), &state);
+        rebuilt.for_each_param_mut(&mut |p| {
+            assert_eq!(p.grad.dims(), p.value.dims());
+            assert!(p.grad.data().iter().all(|&g| g.to_bits() == 0));
+        });
+        // Geometry survives: same inference output, same BN constants.
+        assert_eq!(m.forward(&x, false), rebuilt.forward(&x, false));
+        let LayerNode::BatchNorm2d(bn) = &rebuilt.layers[1] else { panic!("layer 1 is BN") };
+        assert_eq!((bn.momentum, bn.eps), (0.3, 1e-3));
+    }
+
+    #[test]
+    fn with_state_takes_shapes_from_the_snapshot() {
+        // A narrower model of the same layout stands in for a pruned
+        // sub-model: the wide architecture rebuilds it exactly.
+        let mut rng = seeded_rng(88);
+        let wide = every_kind(4, &mut rng);
+        let mut narrow = every_kind(2, &mut rng);
+        let mut rebuilt = wide.architecture().with_state(&narrow.state()).expect("narrow fits");
+        assert_same_bits(&rebuilt.state(), &narrow.state());
+        let x = Tensor::randn(&[1, 1, 8, 8], &mut rng);
+        assert_eq!(narrow.forward(&x, false), rebuilt.forward(&x, false));
+    }
+
+    #[test]
+    fn with_state_rejects_misfits_with_typed_errors() {
+        let mut rng = seeded_rng(89);
+        let m = every_kind(3, &mut rng);
+        let arch = m.architecture();
+        let state = m.state();
+        let edit = |f: &dyn Fn(&mut Vec<StateEntry>)| {
+            let mut s = state.clone();
+            f(&mut s);
+            arch.with_state(&s).expect_err("misfit accepted")
+        };
+        let last = state.len() - 1;
+        assert_eq!(
+            edit(&|s| s.truncate(last)),
+            StateError::Missing { expected: state[last].name.clone() }
+        );
+        assert_eq!(
+            edit(&|s| s[1].name = "0.beta".into()),
+            StateError::Misnamed { expected: "0.bias".into(), found: "0.beta".into() }
+        );
+        assert_eq!(
+            edit(&|s| s[0].tensor = Tensor::zeros(&[3, 9])),
+            StateError::Rank { name: "0.weight".into(), expected: 4, found: 2 }
+        );
+        assert_eq!(
+            edit(&|s| s[1].tensor = Tensor::zeros(&[4])),
+            StateError::Extent { name: "0.bias".into(), expected: 3, found: 4 }
+        );
+        assert_eq!(
+            edit(&|s| s[0].tensor = Tensor::zeros(&[3, 1, 3, 5])),
+            StateError::Extent { name: "0.weight".into(), expected: 3, found: 5 }
+        );
+        assert_eq!(
+            edit(&|s| s[4].tensor = Tensor::zeros(&[2])),
+            StateError::Extent { name: "1.running_mean".into(), expected: 3, found: 2 }
+        );
+        assert_eq!(edit(&|s| s.push(s[0].clone())), StateError::Leftover { count: 1 });
     }
 }

@@ -46,7 +46,7 @@ pub mod zoo;
 pub use activation::{Dropout, ReLU};
 pub use adam::{Adam, LrSchedule};
 pub use batchnorm::BatchNorm2d;
-pub use container::{LayerNode, ResidualBlock, Sequential};
+pub use container::{LayerNode, ResidualBlock, Sequential, StateError};
 pub use conv_layer::Conv2d;
 pub use flatten::Flatten;
 pub use flops::{lstm_cost_per_token, model_cost, CostReport, LayerCost};

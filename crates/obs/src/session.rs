@@ -153,8 +153,14 @@ impl Drop for TraceSession {
 mod tests {
     use super::*;
 
+    /// The sink is process-global and the harness runs tests on
+    /// parallel threads: every test here holds this lock, so one test's
+    /// session is never visible to a sibling asserting `!enabled()`.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
     #[test]
     fn emit_without_session_is_a_noop() {
+        let _serial = lock(&SERIAL);
         // Must not panic, allocate a sink, or enable anything.
         emit(|| panic!("closure must not run while disabled"));
         assert!(!enabled());
@@ -162,6 +168,7 @@ mod tests {
 
     #[test]
     fn capture_records_manifest_and_events_in_order() {
+        let _serial = lock(&SERIAL);
         let manifest = RunManifest::new("test", 7, 2, 1, 1);
         let session = TraceSession::capture(&manifest);
         assert!(enabled());
@@ -176,6 +183,7 @@ mod tests {
 
     #[test]
     fn sessions_serialise_with_each_other() {
+        let _serial = lock(&SERIAL);
         // A second session started from another thread waits for the
         // first to drop instead of interleaving events.
         let m = RunManifest::new("a", 0, 1, 1, 1);
